@@ -6,7 +6,9 @@
 //!
 //! Provides:
 //! * [`Matrix`] — row-major dense `f64` matrix (units are rows).
-//! * [`matmul`](mod@matmul) — blocked serial and crossbeam-parallel GEMM kernels.
+//! * [`matmul`](mod@matmul) — blocked serial and crossbeam-parallel GEMM
+//!   kernels; `A·B`, `Aᵀ·B` and `A·Bᵀ` all run on the same blocked
+//!   kernel and share its bitwise determinism contract.
 //! * [`decomp`] — Cholesky factorization and Jacobi symmetric eigen.
 //! * [`special`] — erf / normal CDF / quantile / log-gamma.
 //! * [`correlation`] — hub-Toeplitz correlation construction

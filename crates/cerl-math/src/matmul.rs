@@ -22,6 +22,13 @@
 //! count and any row partition — on finite *and* non-finite inputs (there
 //! are no data-dependent skips: a `0.0 × ∞` contributes the same `NaN` in
 //! every kernel).
+//!
+//! The transposed products the backward pass needs, [`matmul_at_b`]
+//! (`Aᵀ·B`, weight gradients) and [`matmul_a_bt`] (`A·Bᵀ`, input
+//! gradients and the cross term of `pairwise_sq_dists`), run on the same
+//! kernel over an explicit transpose. They fall under the same contract:
+//! each is bitwise-identical to [`matmul`] on the transposed operand, for
+//! any thread count and row partition.
 
 use crate::matrix::Matrix;
 use std::sync::OnceLock;
@@ -261,7 +268,15 @@ fn pack_b_panel(bs: &[f64], n: usize, kk: usize, kc: usize, jj: usize, nr: usize
     }
 }
 
-/// `Aᵀ · B` without materializing the transpose.
+/// `Aᵀ · B` over the blocked kernel.
+///
+/// Materializes `Aᵀ` (an O(rows·cols) copy, small beside the O(m·k·n)
+/// product) and calls [`matmul`], so the result is bitwise-identical to
+/// `matmul(&a.transpose(), b)` — the module's determinism contract
+/// covers this entry point too.
+///
+/// # Panics
+/// If `a.rows() != b.rows()`.
 pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
     // panic-ok: documented API precondition; shape mismatch is a caller bug.
     assert_eq!(
@@ -271,23 +286,17 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let (n_obs, m) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    for r in 0..n_obs {
-        let arow = a.row(r);
-        let brow = b.row(r);
-        for (i, &av) in arow.iter().enumerate() {
-            let orow = out.row_mut(i);
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-    out
+    matmul(&a.transpose(), b)
 }
 
-/// `A · Bᵀ` without materializing the transpose.
+/// `A · Bᵀ` over the blocked kernel.
+///
+/// Materializes `Bᵀ` and calls [`matmul`], so the result is
+/// bitwise-identical to `matmul(a, &b.transpose())` — the module's
+/// determinism contract covers this entry point too.
+///
+/// # Panics
+/// If `a.cols() != b.cols()`.
 pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     // panic-ok: documented API precondition; shape mismatch is a caller bug.
     assert_eq!(
@@ -297,18 +306,7 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let m = a.rows();
-    let n = b.rows();
-    let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
-        let arow = a.row(i);
-        let orow = out.row_mut(i);
-        for (j, o) in orow.iter_mut().enumerate() {
-            let brow = b.row(j);
-            *o = dot(arow, brow);
-        }
-    }
-    out
+    matmul(a, &b.transpose())
 }
 
 /// Matrix–vector product `A · x`.
@@ -440,9 +438,23 @@ mod tests {
         let a = pseudo_random_matrix(41, 67, 20);
         let b = pseudo_random_matrix(67, 29, 21);
         let reference = matmul_serial(&a, &b);
+        // The transposed entry points: `Aᵀ·B` with `A = aᵗ` and `A·Bᵀ`
+        // with `B = bᵗ` describe the same product as `a·b`.
+        let at = a.transpose();
+        let bt = b.transpose();
+        let via_at_b = matmul_at_b(&at, &b);
+        let via_a_bt = matmul_a_bt(&a, &bt);
         for threads in [1usize, 2, 3, 5, 8, 16, 41, 100] {
             let got = matmul_partitioned(&a, &b, threads);
             assert!(bits_eq(&got, &reference), "partition {threads} diverged");
+            assert!(
+                bits_eq(&got, &via_at_b),
+                "partition {threads} vs Aᵀ·B diverged"
+            );
+            assert!(
+                bits_eq(&got, &via_a_bt),
+                "partition {threads} vs A·Bᵀ diverged"
+            );
         }
     }
 
@@ -477,6 +489,14 @@ mod tests {
                 bits_eq(&matmul(&a, &b), &serial),
                 "auto vs serial diverged on non-finite case {case}"
             );
+            assert!(
+                bits_eq(&matmul_at_b(&a.transpose(), &b), &serial),
+                "Aᵀ·B vs serial diverged on non-finite case {case}"
+            );
+            assert!(
+                bits_eq(&matmul_a_bt(&a, &b.transpose()), &serial),
+                "A·Bᵀ vs serial diverged on non-finite case {case}"
+            );
             for threads in [2usize, 3, 8] {
                 assert!(
                     bits_eq(&matmul_partitioned(&a, &b, threads), &serial),
@@ -506,26 +526,54 @@ mod tests {
         ] {
             assert!(out[(0, 0)].is_nan(), "0·∞ must propagate NaN, got {out:?}");
         }
-        // Same hazard in Aᵀ·B.
+        // Same hazard in Aᵀ·B and A·Bᵀ.
         let at = Matrix::from_rows(&[vec![0.0], vec![1.0]]);
         let c = matmul_at_b(&at, &b);
         assert!(c[(0, 0)].is_nan(), "Aᵀ·B must propagate NaN, got {c:?}");
+        let c = matmul_a_bt(&a, &b.transpose());
+        assert!(c[(0, 0)].is_nan(), "A·Bᵀ must propagate NaN, got {c:?}");
     }
+
+    /// Shapes for the transposed entry points: sub-tile, tile edges, the
+    /// `KC` boundary, and one product above `PARALLEL_FLOP_THRESHOLD` so
+    /// the size dispatch takes the parallel kernel.
+    const TRANSPOSE_SHAPES: [(usize, usize, usize); 6] = [
+        (19, 6, 11),
+        (12, 10, 15),
+        (1, 1, 1),
+        (MR + 1, KC + 1, NR + 1),
+        (64, 100, 64),
+        (160, 300, 96),
+    ];
 
     #[test]
     fn at_b_matches_explicit_transpose() {
-        let a = pseudo_random_matrix(19, 6, 8);
-        let b = pseudo_random_matrix(19, 11, 9);
-        let expect = naive(&a.transpose(), &b);
-        assert!(matmul_at_b(&a, &b).approx_eq(&expect, 1e-10));
+        for (s, &(m, k, n)) in TRANSPOSE_SHAPES.iter().enumerate() {
+            // `a` is k×m, so `aᵀ·b` is m×n.
+            let a = pseudo_random_matrix(k, m, 8 + s as u64);
+            let b = pseudo_random_matrix(k, n, 9 + s as u64);
+            let got = matmul_at_b(&a, &b);
+            assert!(
+                bits_eq(&got, &matmul(&a.transpose(), &b)),
+                "Aᵀ·B not bitwise matmul at ({m},{k},{n})"
+            );
+            assert!(got.approx_eq(&naive(&a.transpose(), &b), 1e-10));
+        }
     }
 
     #[test]
     fn a_bt_matches_explicit_transpose() {
-        let a = pseudo_random_matrix(12, 10, 10);
-        let b = pseudo_random_matrix(15, 10, 11);
-        let expect = naive(&a, &b.transpose());
-        assert!(matmul_a_bt(&a, &b).approx_eq(&expect, 1e-10));
+        for (s, &(m, k, n)) in TRANSPOSE_SHAPES.iter().enumerate() {
+            // `b` is n×k, so `a·bᵀ` is m×n.
+            let a = pseudo_random_matrix(m, k, 10 + s as u64);
+            let b = pseudo_random_matrix(n, k, 11 + s as u64);
+            let got = matmul_a_bt(&a, &b);
+            assert!(
+                bits_eq(&got, &matmul(&a, &b.transpose())),
+                "A·Bᵀ not bitwise matmul at ({m},{k},{n})"
+            );
+            assert!(got.approx_eq(&naive(&a, &b.transpose()), 1e-10));
+        }
     }
 
     #[test]
@@ -572,11 +620,13 @@ mod tests {
             let bt = pseudo_random_matrix(k, n, 43);
             let c = matmul_at_b(&at, &bt);
             assert_eq!(c.shape(), (m, n));
+            assert!(bits_eq(&c, &matmul(&at.transpose(), &bt)));
             // A·Bᵀ with zero dims: a is (m', k'), b is (n', k').
             let aa = pseudo_random_matrix(m, k, 44);
             let bb = pseudo_random_matrix(n, k, 45);
             let c = matmul_a_bt(&aa, &bb);
             assert_eq!(c.shape(), (m, n));
+            assert!(bits_eq(&c, &matmul(&aa, &bb.transpose())));
         }
         // The literal historical panic: many rows, zero output columns,
         // via the public parallel entry point.

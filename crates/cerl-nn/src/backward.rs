@@ -24,8 +24,12 @@ impl Gradients {
         self.param_grads.get(&id.index())
     }
 
-    /// Gradient w.r.t. an arbitrary node (including `input_with_grad`
-    /// leaves), or `None` when no gradient reached it.
+    /// Gradient w.r.t. a node that requires grad — a parameter, an
+    /// `input_with_grad` leaf, or any node computed from one — or `None`
+    /// when no gradient reached it. Plain [`Graph::input`] leaves, and
+    /// nodes computed only from them, are skipped by the backward sweep and
+    /// always report `None` (the loss node itself excepted: it is seeded
+    /// with 1).
     pub fn node_grad(&self, id: NodeId) -> Option<&Matrix> {
         self.node_grads.get(id.index()).and_then(|g| g.as_ref())
     }
@@ -116,9 +120,11 @@ impl Graph {
     }
 
     fn accumulate(&self, grads: &mut [Option<Matrix>], target: NodeId, delta: Matrix) {
-        // Skip subtrees that cannot reach a parameter *and* are not
-        // gradient-tracked inputs — except plain inputs, whose grads we
-        // still store because callers may inspect them.
+        // Skip subtrees that cannot reach a parameter or a gradient-tracked
+        // input: nothing upstream of them needs a gradient.
+        if !self.rg(target) {
+            return;
+        }
         match &mut grads[target.index()] {
             Some(acc) => acc.add_assign(&delta),
             slot @ None => *slot = Some(delta),
@@ -161,10 +167,16 @@ impl Graph {
                 self.accumulate(grads, *bias, db);
             }
             Op::MatMul(a, b) => {
-                let da = matmul_a_bt(go, self.value(*b));
-                let db = matmul_at_b(self.value(*a), go);
-                self.accumulate(grads, *a, da);
-                self.accumulate(grads, *b, db);
+                // Each product is a full GEMM: skip it when `accumulate`
+                // would drop its result anyway (e.g. the input batch).
+                if self.rg(*a) {
+                    let da = matmul_a_bt(go, self.value(*b));
+                    self.accumulate(grads, *a, da);
+                }
+                if self.rg(*b) {
+                    let db = matmul_at_b(self.value(*a), go);
+                    self.accumulate(grads, *b, db);
+                }
             }
             Op::Relu(a) => {
                 let x = self.value(*a);
@@ -174,15 +186,14 @@ impl Graph {
             Op::Elu(a, alpha) => {
                 let x = self.value(*a);
                 let y = self.value(NodeId(idx));
-                let da = Matrix::from_fn(x.rows(), x.cols(), |i, j| {
-                    let g = go[(i, j)];
-                    if x[(i, j)] > 0.0 {
-                        g
-                    } else {
-                        g * (y[(i, j)] + alpha)
-                    }
-                });
-                self.accumulate(grads, *a, da);
+                let da = go
+                    .as_slice()
+                    .iter()
+                    .zip(x.as_slice())
+                    .zip(y.as_slice())
+                    .map(|((&g, &xv), &yv)| if xv > 0.0 { g } else { g * (yv + alpha) })
+                    .collect();
+                self.accumulate(grads, *a, Matrix::from_vec(x.rows(), x.cols(), da));
             }
             Op::Sigmoid(a) => {
                 let y = self.value(NodeId(idx));
@@ -417,6 +428,48 @@ mod tests {
         assert!((grads.global_norm() - 5.0).abs() < 1e-12);
         // No further clipping.
         assert_eq!(grads.clip_global_norm(5.0), 1.0);
+    }
+
+    #[test]
+    fn untracked_input_is_pruned_bitwise_neutrally() {
+        // The same two-layer tape over a plain input and over a tracked
+        // one: parameter gradients must match bit for bit, and only the
+        // tracked input gets a gradient.
+        let mut store = ParamStore::new();
+        let w1 = store.add(
+            "w1",
+            Matrix::from_fn(5, 4, |i, j| ((i * 4 + j) as f64 * 0.37).sin()),
+        );
+        let w2 = store.add("w2", Matrix::from_fn(4, 1, |i, _| (i as f64 * 0.9).cos()));
+        let x = Matrix::from_fn(7, 5, |i, j| ((i + 2 * j) as f64 * 0.21).cos() - 0.3);
+        let run = |tracked: bool| {
+            let mut g = Graph::new();
+            let xin = if tracked {
+                g.input_with_grad(x.clone())
+            } else {
+                g.input(x.clone())
+            };
+            let p1 = g.param(&store, w1);
+            let h = g.matmul(xin, p1);
+            let h = g.elu(h, 1.0);
+            let p2 = g.param(&store, w2);
+            let out = g.matmul(h, p2);
+            let sq = g.square(out);
+            let loss = g.mean(sq);
+            (xin, g.backward(loss))
+        };
+        let (plain, gp) = run(false);
+        let (tracked, gt) = run(true);
+        for w in [w1, w2] {
+            let (a, b) = (gp.param_grad(w).unwrap(), gt.param_grad(w).unwrap());
+            assert!(a
+                .as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(p, q)| p.to_bits() == q.to_bits()));
+        }
+        assert!(gp.node_grad(plain).is_none());
+        assert_eq!(gt.node_grad(tracked).unwrap().shape(), (7, 5));
     }
 
     #[test]

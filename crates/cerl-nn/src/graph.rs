@@ -129,14 +129,16 @@ impl Graph {
         NodeId(self.nodes.len() - 1)
     }
 
-    fn rg(&self, id: NodeId) -> bool {
+    pub(crate) fn rg(&self, id: NodeId) -> bool {
         self.nodes[id.0].requires_grad
     }
 
     // ---- leaves ------------------------------------------------------
 
-    /// Data leaf (no gradient flows into it, but gradients w.r.t. it are
-    /// still computed when requested via `backward_wrt`).
+    /// Data leaf that needs no gradient: [`Graph::backward`] computes none
+    /// for it (nor for nodes computed only from such leaves), and
+    /// `Gradients::node_grad` reports `None`. Use
+    /// [`Graph::input_with_grad`] to differentiate w.r.t. data.
     pub fn input(&mut self, value: Matrix) -> NodeId {
         self.push(value, Op::Input, false)
     }

@@ -3,7 +3,9 @@
 //! Integral probability metrics for representation balancing, with
 //! gradients that plug into the `cerl-nn` tape:
 //!
-//! * [`sinkhorn`] — log-domain Sinkhorn solver for entropy-regularized OT.
+//! * [`sinkhorn`] — Sinkhorn solver for entropy-regularized OT: the
+//!   scaling form (one Gibbs kernel, then mat-vecs) while `max C/ε` stays
+//!   within [`sinkhorn::SCALING_FORM_BOUND`], the log-domain form beyond.
 //! * [`wasserstein`](mod@wasserstein) — the paper's IPM (Eq. 3): Sinkhorn-Wasserstein
 //!   between treated/control representation batches, with envelope
 //!   gradients through the cached transport plan.

@@ -1,11 +1,40 @@
-//! Log-domain Sinkhorn iterations for entropy-regularized optimal transport.
+//! Sinkhorn iterations for entropy-regularized optimal transport.
 //!
 //! The paper balances treated/control representation distributions with an
 //! IPM instantiated as the Wasserstein distance (Eq. 3), following the CFR
-//! line of work, which computes it with Sinkhorn iterations. The log-domain
-//! form is robust to small `ε`.
+//! line of work, which computes it with Sinkhorn iterations.
+//!
+//! [`sinkhorn_plan`] runs one of two forms of the same iteration, chosen
+//! from its input:
+//!
+//! * **Scaling form** (Cuturi 2013) when every entry of `C/ε` lies in
+//!   `[0, B]` with `B =` [`SCALING_FORM_BOUND`]. The Gibbs kernel
+//!   `K = exp(−C/ε)` is built once (`n·m` exps), then each iteration is two
+//!   mat-vecs, `u = a ⊘ K·v` and `v = b ⊘ Kᵀ·u`, starting from `v = 1`; the
+//!   plan is `diag(u)·K·diag(v)`. Every kernel entry is then at least
+//!   `e^−B`, a normal `f64`, so the scalings stay finite.
+//! * **Log-domain form** otherwise (small `ε` against the cost, negative
+//!   or non-finite costs): the potentials `f, g` are updated with
+//!   log-sum-exp, which is robust to any `ε` but costs `2·n·m` exps per
+//!   iteration.
+//!
+//! The two forms compute the same iterates — `u = e^{f/ε}`, `v = e^{g/ε}`,
+//! and `v = 1` is the log form's `g = 0` start — so they agree up to
+//! rounding. Both are deterministic: the same input gives the same bits.
 
 use cerl_math::Matrix;
+
+/// Largest `max C/ε` for which [`sinkhorn_plan`] uses the scaling form.
+///
+/// Below it every Gibbs kernel entry `exp(−C/ε)` is at least `e^−500 ≈
+/// 7e−218`, a normal `f64`. The scalings stay in range as well: the
+/// Sinkhorn map on the potentials is non-expansive in the sup norm and
+/// commutes with shifts, so from the `v = 1` start `u ≤ e^B` and
+/// `v ≤ e^B · max b / min b` at every iteration. Training with
+/// [`EpsilonMode::RelativeToMeanCost`] sits far below
+/// the bound (`max C/ε` is the max-to-mean cost ratio over `ε`, on the
+/// order of 100); only a small [`EpsilonMode::Absolute`] `ε` crosses it.
+pub const SCALING_FORM_BOUND: f64 = 500.0;
 
 /// Configuration for the Sinkhorn solver.
 #[derive(Debug, Clone, Copy)]
@@ -84,12 +113,92 @@ pub fn sinkhorn_plan(cost: &Matrix, a: &[f64], b: &[f64], cfg: &SinkhornConfig) 
     }
     .max(1e-12);
 
+    let iterations = cfg.iterations.max(1);
+    let (plan, total) = match gibbs_kernel(cost, eps) {
+        Some(kernel) => sinkhorn_scaling(cost, &kernel, a, b, iterations),
+        None => sinkhorn_log(cost, a, b, eps, iterations),
+    };
+    SinkhornResult {
+        plan,
+        cost: total,
+        effective_epsilon: eps,
+    }
+}
+
+/// The Gibbs kernel `K = exp(−C/ε)`, or `None` when some entry of `C/ε`
+/// falls outside `[0, SCALING_FORM_BOUND]` (including NaN), which sends
+/// the solve to the log domain.
+fn gibbs_kernel(cost: &Matrix, eps: f64) -> Option<Matrix> {
+    let mut kernel = cost.clone();
+    for k in kernel.as_mut_slice() {
+        let r = *k / eps;
+        if !(0.0..=SCALING_FORM_BOUND).contains(&r) {
+            return None;
+        }
+        *k = (-r).exp();
+    }
+    Some(kernel)
+}
+
+/// Scaling-form Sinkhorn over a precomputed Gibbs kernel; returns the plan
+/// `diag(u)·K·diag(v)` and `⟨P, C⟩`.
+fn sinkhorn_scaling(
+    cost: &Matrix,
+    kernel: &Matrix,
+    a: &[f64],
+    b: &[f64],
+    iterations: usize,
+) -> (Matrix, f64) {
+    let kernel_t = kernel.transpose();
+    let mut u = vec![0.0; a.len()];
+    let mut v = vec![1.0; b.len()];
+    for _ in 0..iterations {
+        // u ← a ⊘ K·v
+        transposed_mat_vec(&kernel_t, &v, &mut u);
+        for (ui, &ai) in u.iter_mut().zip(a) {
+            *ui = ai / *ui;
+        }
+        // v ← b ⊘ Kᵀ·u
+        transposed_mat_vec(kernel, &u, &mut v);
+        for (vj, &bj) in v.iter_mut().zip(b) {
+            *vj = bj / *vj;
+        }
+    }
+
+    let mut plan = kernel.clone();
+    let mut total = 0.0;
+    let rows = plan.as_mut_slice().chunks_exact_mut(b.len());
+    for ((prow, crow), &ui) in rows.zip(cost.iter_rows()).zip(&u) {
+        for ((p, &c), &vj) in prow.iter_mut().zip(crow).zip(&v) {
+            *p = ui * *p * vj;
+            total += *p * c;
+        }
+    }
+    (plan, total)
+}
+
+/// `out = Mᵀ·x` for row-major `M` with `x.len()` rows, summed as scaled
+/// rows of `M` in ascending row order so the inner loop is a
+/// vectorizable axpy rather than a serial dot-product reduction.
+fn transposed_mat_vec(m: &Matrix, x: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    for (row, &xr) in m.iter_rows().zip(x) {
+        for (o, &k) in out.iter_mut().zip(row) {
+            *o += xr * k;
+        }
+    }
+}
+
+/// Log-domain Sinkhorn on the potentials `f`, `g`; returns the plan and
+/// `⟨P, C⟩`.
+fn sinkhorn_log(cost: &Matrix, a: &[f64], b: &[f64], eps: f64, iterations: usize) -> (Matrix, f64) {
+    let (n, m) = cost.shape();
     let log_a: Vec<f64> = a.iter().map(|&v| v.ln()).collect();
     let log_b: Vec<f64> = b.iter().map(|&v| v.ln()).collect();
     let mut f = vec![0.0; n]; // potential for rows
     let mut g = vec![0.0; m]; // potential for columns
 
-    for _ in 0..cfg.iterations.max(1) {
+    for _ in 0..iterations {
         // f_i ← ε·log a_i − ε·LSE_j((g_j − C_ij)/ε)
         for i in 0..n {
             let row = cost.row(i);
@@ -126,11 +235,7 @@ pub fn sinkhorn_plan(cost: &Matrix, a: &[f64], b: &[f64], cfg: &SinkhornConfig) 
             total += p * cost[(i, j)];
         }
     }
-    SinkhornResult {
-        plan,
-        cost: total,
-        effective_epsilon: eps,
-    }
+    (plan, total)
 }
 
 /// [`sinkhorn_plan`] with uniform marginals.
@@ -145,6 +250,8 @@ pub fn sinkhorn_uniform(cost: &Matrix, cfg: &SinkhornConfig) -> SinkhornResult {
 mod tests {
     use super::*;
     use cerl_math::norms::pairwise_sq_dists;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn cfg(eps: f64, iters: usize) -> SinkhornConfig {
         SinkhornConfig {
@@ -184,6 +291,9 @@ mod tests {
         let xt = Matrix::from_rows(&[vec![0.0], vec![1.0]]);
         let xc = Matrix::from_rows(&[vec![0.1], vec![1.1]]);
         let cost = pairwise_sq_dists(&xt, &xc);
+        // max C/ε = 1210: beyond the scaling bound, so this runs in the
+        // log domain.
+        assert!(gibbs_kernel(&cost, 0.001).is_none());
         let r = sinkhorn_uniform(&cost, &cfg(0.001, 500));
         // Exact W2² = mean of (0.1)² = 0.01.
         assert!((r.cost - 0.01).abs() < 1e-3, "cost={}", r.cost);
@@ -226,6 +336,93 @@ mod tests {
         let r = sinkhorn_plan(&cost, &[], &[0.3, 0.3, 0.4], &SinkhornConfig::default());
         assert_eq!(r.cost, 0.0);
         assert_eq!(r.plan.shape(), (0, 3));
+    }
+
+    /// Entries of `P` within `rel` of each other, relative to the larger.
+    fn plans_agree(p: &Matrix, q: &Matrix, rel: f64) -> bool {
+        p.shape() == q.shape()
+            && p.as_slice()
+                .iter()
+                .zip(q.as_slice())
+                .all(|(&x, &y)| (x - y).abs() <= rel * x.abs().max(y.abs()))
+    }
+
+    #[test]
+    fn path_choice_follows_cost_over_epsilon() {
+        let eps = 0.01;
+        let at = |c: f64| gibbs_kernel(&Matrix::filled(2, 3, c), eps).is_some();
+        assert!(at(0.0));
+        assert!(at(SCALING_FORM_BOUND * eps));
+        assert!(!at(SCALING_FORM_BOUND * eps * 1.001));
+        assert!(!at(-1e-9), "negative costs take the log domain");
+        assert!(!at(f64::NAN));
+        assert!(!at(f64::INFINITY));
+    }
+
+    #[test]
+    fn scaling_form_matches_log_form() {
+        // Same iterates in two parameterizations: over random costs whose
+        // max C/ε sweeps up to just below the bound, plan and cost agree to
+        // 1e-9 relative, with uniform and non-uniform marginals.
+        let mut rng = StdRng::seed_from_u64(7);
+        for case in 0..48 {
+            let n = rng.gen_range(1..40);
+            let m = rng.gen_range(1..40);
+            let cost = Matrix::from_fn(n, m, |_, _| rng.gen::<f64>() * 3.0);
+            let max_ratio = [1.0, 20.0, 150.0, 0.99 * SCALING_FORM_BOUND][case % 4];
+            let top = cost.as_slice().iter().fold(1e-3, |t, &c| c.max(t));
+            let eps = top / max_ratio;
+            let iterations = [1, 30, 200][case % 3];
+            let mut a: Vec<f64> = (0..n).map(|_| 0.1 + rng.gen::<f64>()).collect();
+            let mut b: Vec<f64> = (0..m).map(|_| 0.1 + rng.gen::<f64>()).collect();
+            for w in [&mut a, &mut b] {
+                let s: f64 = w.iter().sum();
+                w.iter_mut().for_each(|x| *x /= s);
+            }
+            let kernel = gibbs_kernel(&cost, eps).expect("cost below the bound");
+            let (ps, cs) = sinkhorn_scaling(&cost, &kernel, &a, &b, iterations);
+            let (pl, cl) = sinkhorn_log(&cost, &a, &b, eps, iterations);
+            assert!(
+                plans_agree(&ps, &pl, 1e-9),
+                "case {case}: plans diverge ({n}x{m}, max C/ε {max_ratio})"
+            );
+            assert!(
+                (cs - cl).abs() <= 1e-9 * cl.abs(),
+                "case {case}: cost {cs} vs {cl}"
+            );
+        }
+    }
+
+    #[test]
+    fn scaling_form_near_bound_stays_finite() {
+        // max C/ε just under the bound, with zero-cost entries scattered
+        // among near-bound ones, skewed marginals and tiny kernel entries
+        // (~e^−500): the scalings must stay finite and the plan must still
+        // meet both marginals.
+        let (n, m) = (24, 17);
+        let eps = 0.01;
+        let top = 0.9999 * SCALING_FORM_BOUND * eps;
+        let cost = Matrix::from_fn(n, m, |i, j| top * ((i * i + 3 * j) % 13) as f64 / 12.0);
+        let mut a: Vec<f64> = (0..n).map(|i| ((i + 1) * (i + 1)) as f64).collect();
+        let mut b: Vec<f64> = (0..m).map(|j| 1.0 / (j + 1) as f64).collect();
+        for w in [&mut a, &mut b] {
+            let s: f64 = w.iter().sum();
+            w.iter_mut().for_each(|x| *x /= s);
+        }
+        let kernel = gibbs_kernel(&cost, eps).expect("cost below the bound");
+        let (plan, total) = sinkhorn_scaling(&cost, &kernel, &a, &b, 2000);
+        assert!(plan.all_finite() && total.is_finite(), "cost {total}");
+        for (i, &ai) in a.iter().enumerate() {
+            let s: f64 = plan.row(i).iter().sum();
+            assert!((s - ai).abs() < 1e-6, "row {i}: {s} vs {ai}");
+        }
+        for (j, &bj) in b.iter().enumerate() {
+            let s: f64 = plan.col(j).iter().sum();
+            assert!((s - bj).abs() < 1e-6, "col {j}: {s} vs {bj}");
+        }
+        // The public entry point takes the same path and returns the same plan.
+        let r = sinkhorn_plan(&cost, &a, &b, &cfg(eps, 2000));
+        assert!(plans_agree(&r.plan, &plan, 0.0));
     }
 
     #[test]

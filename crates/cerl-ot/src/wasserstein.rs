@@ -10,13 +10,18 @@
 //! ∂⟨P,C⟩/∂x_i = Σ_j P_ij · 2 (x_i − y_j),   ∂⟨P,C⟩/∂y_j = Σ_i P_ij · 2 (y_j − x_i)
 //! ```
 //!
+//! In matrix form, `∂/∂X = 2·(diag(P·1)·X − P·Y)` and
+//! `∂/∂Y = 2·(diag(Pᵀ·1)·Y − Pᵀ·X)`: two GEMMs on the blocked kernel. No
+//! plan entry is skipped, so a non-finite input reaches the gradient even
+//! where the plan has underflowed to zero.
+//!
 //! This is the standard practice for Sinkhorn-based penalties in the CFR
 //! family and is validated against finite differences in the tests (the
 //! envelope gradient is exact in the limit of converged potentials).
 
 use crate::sinkhorn::{sinkhorn_uniform, SinkhornConfig};
 use cerl_math::norms::pairwise_sq_dists;
-use cerl_math::Matrix;
+use cerl_math::{matmul, matmul_at_b, Matrix};
 use cerl_nn::{CustomOp, Graph, NodeId};
 use std::cell::RefCell;
 
@@ -68,31 +73,29 @@ impl CustomOp for WassersteinOp {
             .as_ref()
             .expect("WassersteinOp: backward before forward");
 
-        let (n1, d) = xt.shape();
-        let n0 = xc.rows();
-        let mut gt = Matrix::zeros(n1, d);
-        let mut gc = Matrix::zeros(n0, d);
-        for i in 0..n1 {
-            let xi = xt.row(i);
-            for j in 0..n0 {
-                let p = plan[(i, j)];
-                if p == 0.0 {
-                    continue;
-                }
-                let yj = xc.row(j);
-                let w = 2.0 * p * go;
-                let gti = gt.row_mut(i);
-                for (k, g) in gti.iter_mut().enumerate() {
-                    *g += w * (xi[k] - yj[k]);
-                }
-                let gcj = gc.row_mut(j);
-                for (k, g) in gcj.iter_mut().enumerate() {
-                    *g += w * (yj[k] - xi[k]);
-                }
+        let row_mass: Vec<f64> = (0..xt.rows()).map(|i| plan.row(i).iter().sum()).collect();
+        let mut col_mass = vec![0.0; xc.rows()];
+        for i in 0..xt.rows() {
+            for (c, &p) in col_mass.iter_mut().zip(plan.row(i)) {
+                *c += p;
             }
         }
-        vec![gt, gc]
+        let w = 2.0 * go;
+        vec![
+            envelope_term(xt, &row_mass, matmul(plan, xc), w),
+            envelope_term(xc, &col_mass, matmul_at_b(plan, xt), w),
+        ]
     }
+}
+
+/// `w·(diag(mass)·points − transported)`, overwriting `transported`.
+fn envelope_term(points: &Matrix, mass: &[f64], mut transported: Matrix, w: f64) -> Matrix {
+    for (i, &mi) in mass.iter().enumerate() {
+        for (t, &x) in transported.row_mut(i).iter_mut().zip(points.row(i)) {
+            *t = w * (mi * x - *t);
+        }
+    }
+    transported
 }
 
 /// Insert a Wasserstein IPM node between `treated` and `control` batches.
@@ -198,6 +201,30 @@ mod tests {
             fine < 1e-2,
             "envelope gradient off at small ε: rel={fine:.3e}"
         );
+    }
+
+    #[test]
+    fn nonfinite_input_reaches_gradient_through_zero_plan_entries() {
+        // A plan entry of exactly zero meeting an infinite coordinate: the
+        // old per-entry `p == 0.0` skip returned a finite gradient here.
+        let xt = Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0, 3.0]]);
+        let mut xc = Matrix::from_rows(&[vec![0.5, 0.5], vec![1.0, 1.0]]);
+        let op = WassersteinOp::new(cfg());
+        *op.plan.borrow_mut() = Some(Matrix::from_rows(&[vec![0.5, 0.0], vec![0.0, 0.5]]));
+        let backward =
+            |xc: &Matrix| op.backward(&[&xt, xc], &Matrix::zeros(1, 1), &Matrix::filled(1, 1, 1.0));
+        let finite = backward(&xc);
+        assert!(finite.iter().all(Matrix::all_finite));
+        // Matches the per-pair envelope formula.
+        assert_eq!(finite[0].row(0), &[-0.5, 0.5]);
+        assert_eq!(finite[1].row(1), &[-1.0, -2.0]);
+
+        xc[(1, 0)] = f64::INFINITY;
+        let grads = backward(&xc);
+        // Row 0 of the treated batch is coupled to control row 1 with
+        // weight 0, and 0·∞ is NaN: it must surface, not be skipped.
+        assert!(grads[0][(0, 0)].is_nan(), "got {:?}", grads[0]);
+        assert!(!grads[1].all_finite());
     }
 
     #[test]
